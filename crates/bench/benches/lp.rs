@@ -1,7 +1,8 @@
 //! Criterion benches: the Theorem 7 delay-assignment routes.
 //!
 //! Polynomial difference-constraint route vs. the paper-literal cycle-LP
-//! (exact simplex over enumerated cycles) — DESIGN.md ablation 3.3a/3.3b.
+//! (exact simplex over enumerated cycles) — the delay-assignment ablation
+//! of the README's "Reproducing the paper" section.
 
 use abc_bench::workloads;
 use abc_core::assign::{assign_delays, assign_delays_via_cycle_lp};

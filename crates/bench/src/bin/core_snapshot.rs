@@ -46,11 +46,11 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, last.expect("reps > 0"))
 }
 
+const USAGE: &str = "usage: core_snapshot [OUTPUT.json]   (default BENCH_core.json)";
+
 #[allow(clippy::cast_precision_loss)]
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_core.json".to_string());
+    let out_path = abc_bench::snapshot_out_path(USAGE, "BENCH_core.json");
     // Band [1, 4] is admissible for Ξ = 5: no early exit via a latched
     // violation on either side.
     let xi = Xi::from_integer(5);

@@ -114,10 +114,10 @@ fn single_v2_eps(addr: &str, xi: &Xi, doc: &LoadgenDoc) -> f64 {
     eps
 }
 
+const USAGE: &str = "usage: service_snapshot [OUTPUT.json]   (default BENCH_service.json)";
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_service.json".to_string());
+    let out_path = abc_bench::snapshot_out_path(USAGE, "BENCH_service.json");
     let xi = Xi::from_integer(5);
     // Shards scale with the host (the server default); on a single-core
     // runner extra shard threads only add scheduler churn.

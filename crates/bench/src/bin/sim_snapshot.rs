@@ -54,11 +54,11 @@ fn core_stats(mut s: RunStats) -> RunStats {
     s
 }
 
+const USAGE: &str = "usage: sim_snapshot [OUTPUT.json]   (default BENCH_sim.json)";
+
 #[allow(clippy::cast_precision_loss)]
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let out_path = abc_bench::snapshot_out_path(USAGE, "BENCH_sim.json");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let (seq_s, (seq_trace, seq_stats)) = best_of(3, || run_once(1));

@@ -1,7 +1,9 @@
 //! Experiment harness for the ABC-model reproduction.
 //!
-//! One function per experiment of DESIGN.md's index; each prints the
-//! paper-shaped table and returns `true` iff every checked property held.
+//! One function per experiment of the [`registry`] (the paper figure or
+//! theorem each reproduces is in its description; see the README's
+//! "Reproducing the paper" section); each prints the paper-shaped table
+//! and returns `true` iff every checked property held.
 //! The `experiments` binary dispatches on experiment ids; `cargo bench`
 //! runs the Criterion performance benches in `benches/`.
 
@@ -93,4 +95,26 @@ pub fn registry() -> Vec<(&'static str, &'static str, fn() -> bool)> {
             e::fd_sweep,
         ),
     ]
+}
+
+/// The output path of a snapshot bin (`core_snapshot`, `service_snapshot`,
+/// `sim_snapshot`): its one optional argument, else `default`. `--help`
+/// or `-h` prints `usage` and exits 0; any other argument starting with
+/// `-`, or a second argument, prints `usage` to stderr and exits 2 — so
+/// a flag never becomes an output file name.
+#[must_use]
+pub fn snapshot_out_path(usage: &str, default: &str) -> String {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => default.to_string(),
+        [a] if a == "--help" || a == "-h" => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        [path] if !path.starts_with('-') => path.clone(),
+        _ => {
+            eprintln!("error: unexpected arguments {args:?}\n{usage}");
+            std::process::exit(2);
+        }
+    }
 }

@@ -1,6 +1,6 @@
-//! Ablations called out in DESIGN.md §3.5: the design choices of
-//! Algorithms 1 and 2 are load-bearing — removing them visibly breaks the
-//! guarantees.
+//! Ablations listed in the README's "Reproducing the paper" section: the
+//! design choices of Algorithms 1 and 2 are load-bearing — removing them
+//! visibly breaks the guarantees.
 
 use abc_clocksync::{LockStep, RoundApp, TickGen};
 use abc_core::{ProcessId, Xi};

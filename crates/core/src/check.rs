@@ -42,8 +42,9 @@
 //! feasible and one changeless verification sweep decides in `O(V + E)` —
 //! instead of the `Θ(V)` full-arc rounds the classical all-zero-source
 //! pass pays (its shortest walks zigzag through the whole execution),
-//! which is what `BENCH_core.json` quantifies. Only when a violation
-//! exists does
+//! which is what `BENCH_core.json` quantifies. On violating executions
+//! it stops as soon as the relaxation's parent pointers close a cycle,
+//! which is always a negative one. Only when a violation exists does
 //! [`find_violation`] fall back to the classical round-based pass with
 //! predecessor extraction (`violating_cycle_arcs`) to pull out the
 //! violating relevant cycle itself, over the same arc arena in the same
@@ -144,6 +145,70 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
     w_prime * k - 1
 }
 
+/// Sentinel for "no parent arc" in the decisions' parent-pointer arrays.
+const NO_PARENT: usize = usize::MAX;
+
+/// Walk-to-root cycle detection over a parent-pointer graph: the early
+/// exit of both batch decisions ([`negative_cycle_exists`] and
+/// [`exists_nonneg_cycle_linegraph`]).
+///
+/// The decisions record, for every label they lower, the arc that lowered
+/// it. A cycle among those parent pointers always has negative weight
+/// (Cherkassky & Goldberg, *Negative-cycle detection algorithms*, Math.
+/// Programming 1999): labels only fall and every fall resets the pointer,
+/// so each pointer `x → y` keeps `d(y) ≥ d(x) + w(x, y)`, and the
+/// relaxation that closed the cycle was strict, so its weights sum below
+/// zero. One `O(n)` pass after each round therefore answers "a cycle
+/// exists" as soon as relaxation has closed one — typically a few rounds
+/// in — instead of when a relaxation chain reaches `n` arcs, `Θ(n)`
+/// full-arc rounds later.
+struct ParentWalk {
+    /// Id of the walk that last visited each node. Ids only grow, so a
+    /// stamp at or above the current pass's first id means "seen in this
+    /// pass" and no per-pass reset is needed.
+    stamp: Vec<u64>,
+    next_id: u64,
+}
+
+impl ParentWalk {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            stamp: vec![0; num_nodes],
+            next_id: 1,
+        }
+    }
+
+    /// A node on a cycle of the parent graph, if there is one; `up(v)` is
+    /// `v`'s parent node (`None` at a root). Every node is visited at most
+    /// once per pass: a walk stops at a root or at a node an earlier walk
+    /// of the pass already cleared.
+    fn find_cycle(&mut self, up: impl Fn(usize) -> Option<usize>) -> Option<usize> {
+        let pass_start = self.next_id;
+        for v in 0..self.stamp.len() {
+            if self.stamp[v] >= pass_start {
+                continue;
+            }
+            let id = self.next_id;
+            self.next_id += 1;
+            let mut u = v;
+            loop {
+                if self.stamp[u] >= pass_start {
+                    if self.stamp[u] == id {
+                        return Some(u);
+                    }
+                    break;
+                }
+                self.stamp[u] = id;
+                match up(u) {
+                    Some(w) => u = w,
+                    None => break,
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Exact negative-cycle *decision* over the scaled weights, seeded with
 /// the **earliest-feasible potential** (the same idea that makes the
 /// incremental monitor cheap):
@@ -159,14 +224,20 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
 ///   (its shortest walks zigzag through the whole execution);
 /// * where forward arcs are still tense, in-place Bellman–Ford sweeps
 ///   (alternating arena directions, so each pass propagates whole
-///   monotone chains) repair the labels. `len[v]` tracks the arc count of
-///   the relaxation chain realizing `dist[v]`: any chain reaching
-///   `#nodes` arcs certifies a negative cycle — the standard argument
-///   (the chain's second visit to some node strictly improved on its
-///   first, so the enclosed cycle is negative) is independent of the
-///   initial labeling.
+///   monotone chains) repair the labels, recording each label's parent
+///   arc. After every round a [`ParentWalk`] looks for a cycle among the
+///   parent pointers — always a negative cycle — so a "yes" costs a few
+///   rounds of `O(V + E)` once relaxation has closed the cycle, not the
+///   `Θ(V·E)` a chain-length certificate needs;
+/// * as a backstop, `len[v]` tracks the arc count of the relaxation chain
+///   realizing `dist[v]`: any chain reaching `#nodes` arcs certifies a
+///   negative cycle — the standard argument (the chain's second visit to
+///   some node strictly improved on its first, so the enclosed cycle is
+///   negative) is independent of the initial labeling.
 ///
-/// Exact in both directions.
+/// Exact in both directions: a "no" still needs a changeless round, so
+/// the worst case stays `O(V·E)`. In debug builds every parent cycle
+/// found is re-summed and asserted negative.
 pub(crate) fn negative_cycle_exists(
     g: &ExecutionGraph,
     tg: &TraversalGraph,
@@ -203,6 +274,8 @@ pub(crate) fn negative_cycle_exists(
         .map(|a| scaled_weight(a.kind, p, q, k))
         .collect();
     let mut len = vec![0u32; n];
+    let mut parent = vec![NO_PARENT; n];
+    let mut walk = ParentWalk::new(n);
     let limit = u32::try_from(n).unwrap_or(u32::MAX);
     // Shortest relaxation chains from the seed are simple unless a
     // negative cycle exists, so `n + 1` double sweeps always suffice to
@@ -216,6 +289,7 @@ pub(crate) fn negative_cycle_exists(
             if cand < dist[arc.to] {
                 dist[arc.to] = cand;
                 len[arc.to] = len[u] + 1;
+                parent[arc.to] = ai;
                 *changed = true;
                 return len[arc.to] >= limit;
             }
@@ -234,6 +308,19 @@ pub(crate) fn negative_cycle_exists(
         if !changed {
             return false;
         }
+        let up = |v: usize| (parent[v] != NO_PARENT).then(|| arcs[parent[v]].from);
+        if let Some(on_cycle) = walk.find_cycle(up) {
+            debug_assert!(
+                parent_cycle_weight(
+                    on_cycle,
+                    |v| parent[v],
+                    |ai| arcs[ai].from,
+                    |ai| weights[ai]
+                ) < 0,
+                "a parent-pointer cycle must be negative"
+            );
+            return true;
+        }
     }
     // Unreachable in theory (see above); conservatively report a negative
     // cycle only if a final sweep still changes labels.
@@ -246,6 +333,28 @@ pub(crate) fn negative_cycle_exists(
         }
     }
     changed
+}
+
+/// The total weight of the parent cycle through `start` — the debug-build
+/// certificate check behind both decisions' early exit. `parent_of(v)` is
+/// the arc (or line-graph node) that last lowered `v`'s label, `tail(a)`
+/// the node it hangs from and `weight(a)` its scaled weight.
+fn parent_cycle_weight(
+    start: usize,
+    parent_of: impl Fn(usize) -> usize,
+    tail: impl Fn(usize) -> usize,
+    weight: impl Fn(usize) -> i128,
+) -> i128 {
+    let mut total = 0i128;
+    let mut v = start;
+    loop {
+        let a = parent_of(v);
+        total += weight(a);
+        v = tail(a);
+        if v == start {
+            return total;
+        }
+    }
 }
 
 /// Classical round-based Bellman–Ford negative-cycle detection over the
@@ -409,6 +518,18 @@ pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
 /// received — an all-pairs walk would have to run causally forward forever
 /// and could never close).
 ///
+/// Each round relaxes every arc from the previous round's labels (Jacobi
+/// order) and records, per arc, the incoming arc its label came from.
+/// After each round a [`ParentWalk`] over those pointers ends the pass as
+/// soon as they close a cycle: with round-synchronous updates the pointer
+/// into the cycle's most recently lowered label was set from a strictly
+/// larger value than it holds now, so such a cycle is again a negative
+/// reversal-free closed walk. A "yes" therefore costs a few `O(A)` rounds
+/// once relaxation has closed the walk; a "no" needs a changeless round,
+/// and the `#arcs + 1` round bound stays as the backstop (`O(A²)` worst
+/// case, `A` = #arcs). In debug builds every parent cycle found is
+/// re-summed and asserted negative.
+///
 /// Consumes the shared [`TraversalGraph`]: the in-arc buckets come from its
 /// prefix-sum [`TraversalGraph::in_csr`] (two flat arrays, no per-node
 /// `Vec`), and the reverse pairing relies on its canonical arc order
@@ -434,10 +555,15 @@ fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool 
     let num_nodes = tg.num_live_nodes();
     let (in_starts, in_arcs) = tg.in_csr();
     let mut dist = vec![0i128; a_count];
-    for round in 0..=a_count {
-        // Per node: best and second-best incoming dist (by arc).
-        let mut best: Vec<Option<(i128, usize)>> = vec![None; num_nodes];
-        let mut second: Vec<Option<i128>> = vec![None; num_nodes];
+    let mut parent = vec![NO_PARENT; a_count];
+    let mut walk = ParentWalk::new(a_count);
+    // Per node: best and second-best incoming (dist, arc), rebuilt each
+    // round.
+    let mut best: Vec<Option<(i128, usize)>> = vec![None; num_nodes];
+    let mut second: Vec<Option<(i128, usize)>> = vec![None; num_nodes];
+    for _round in 0..=a_count {
+        best.fill(None);
+        second.fill(None);
         for v in 0..num_nodes {
             for &ai in &in_arcs[in_starts[v]..in_starts[v + 1]] {
                 let d = dist[ai];
@@ -445,10 +571,10 @@ fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool 
                     None => best[v] = Some((d, ai)),
                     Some((bd, _)) => {
                         if d < bd {
-                            second[v] = Some(bd);
+                            second[v] = best[v];
                             best[v] = Some((d, ai));
-                        } else if second[v].is_none_or(|s| d < s) {
-                            second[v] = Some(d);
+                        } else if second[v].is_none_or(|(s, _)| d < s) {
+                            second[v] = Some((d, ai));
                         }
                     }
                 }
@@ -460,24 +586,37 @@ fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool 
             let Some((bd, barg)) = best[tail] else {
                 continue;
             };
-            let incoming = if rev(bi) == Some(barg) {
+            let (incoming, from_arc) = if rev(bi) == Some(barg) {
                 match second[tail] {
                     Some(s) => s,
                     None => continue,
                 }
             } else {
-                bd
+                (bd, barg)
             };
             let cand = incoming + scaled_weight(b.kind, p, q, k);
             if cand < dist[bi] {
                 dist[bi] = cand;
+                parent[bi] = from_arc;
                 changed = true;
             }
         }
         if !changed {
             return false;
         }
-        let _ = round;
+        let up = |b: usize| (parent[b] != NO_PARENT).then_some(parent[b]);
+        if let Some(on_cycle) = walk.find_cycle(up) {
+            debug_assert!(
+                parent_cycle_weight(
+                    on_cycle,
+                    |b| parent[b],
+                    |a| a,
+                    |a| scaled_weight(arcs[a].kind, p, q, k)
+                ) < 0,
+                "a parent-pointer cycle must be negative"
+            );
+            return true;
+        }
     }
     true
 }
@@ -501,8 +640,14 @@ pub(crate) fn max_bisection_part(m: i64) -> Option<i128> {
 /// The value is the *infimum* of the `Ξ` values for which `g` is admissible:
 /// `is_admissible(g, xi)` holds iff `xi > max_relevant_cycle_ratio(g)`.
 ///
-/// Complexity: `O(V·E·log(E))` (rational bisection over the Bellman–Ford
-/// predicate, then exact recovery of the bounded-denominator fraction).
+/// Complexity: `O(log m)` probes of the "∃ cycle with ratio `≥ x`"
+/// predicate (rational bisection, then exact recovery of the
+/// bounded-denominator fraction), each `O(V·E)` in the worst case — the
+/// ratio-1 probe runs on the line graph, `O(E²)`. In practice a probe
+/// ends after a few `O(V + E)` rounds either way: a "no" once the seeded
+/// labels stop changing, a "yes" once the relaxation's parent pointers
+/// close a cycle (always a negative one). The predicate is exact in both
+/// directions, so the result does not depend on when a probe stops.
 ///
 /// # Errors
 ///
@@ -791,6 +936,51 @@ mod tests {
         assert!(max_relevant_cycle_ratio(&two_chain(3)).unwrap().is_some());
     }
 
+    /// A seeded message-passing execution of `events` receive events:
+    /// `n` processes wake at time 0 and message one random peer; every
+    /// receive answers one or two random peers, each message delayed by a
+    /// draw from `[lo, hi]`, and events are appended in delivery order
+    /// (ties by send order).
+    fn generated_execution(n: usize, events: usize, lo: u64, hi: u64, seed: u64) -> ExecutionGraph {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut state = seed;
+        // splitmix64, reduced to [0, bound).
+        let mut draw = move |bound: u64| -> u64 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut b = ExecutionGraph::builder(n);
+        // Messages in send order as (send event, destination); the heap
+        // holds the undelivered ones keyed by (arrival time, send order).
+        let mut sends = Vec::new();
+        let mut in_flight = BinaryHeap::new();
+        let mut pending: Vec<(crate::graph::EventId, usize, u64)> =
+            (0..n).map(|p| (b.init(ProcessId(p)), p, 0)).collect();
+        let mut appended = 0;
+        loop {
+            for (from, p, now) in pending.drain(..) {
+                for _ in 0..=u8::from(now > 0 && draw(2) == 1) {
+                    let peer = (p + 1 + usize::try_from(draw(n as u64 - 1)).unwrap()) % n;
+                    let arrival = now + lo + draw(hi - lo + 1);
+                    in_flight.push(Reverse((arrival, sends.len())));
+                    sends.push((from, ProcessId(peer)));
+                }
+            }
+            if appended == events {
+                return b.finish();
+            }
+            let Reverse((now, idx)) = in_flight.pop().expect("every receive sends on");
+            let (from, to) = sends[idx];
+            let (_, r) = b.send(from, to);
+            appended += 1;
+            pending.push((r, to.0, now));
+        }
+    }
+
     #[test]
     fn seeded_decision_agrees_with_round_based_extraction() {
         // The cheap decision and the classical extractor must agree on
@@ -809,5 +999,51 @@ mod tests {
                 );
             }
         }
+        // Generated executions of a few hundred events at fractional Xi,
+        // including each one's own margin and a point just above it, where
+        // the early exit fires after a handful of rounds. For p > q the
+        // reversal-free line-graph pass is exact too and must agree.
+        let mut outcomes = [0usize; 2];
+        for (seed, lo, hi) in [
+            (1u64, 1u64, 3u64),
+            (2, 2, 3),
+            (3, 1, 4),
+            (4, 2, 5),
+            (5, 1, 8),
+        ] {
+            let g = generated_execution(4, 300, lo, hi, seed);
+            let tg = TraversalGraph::from_graph(&g);
+            let margin = max_relevant_cycle_ratio(&g).unwrap().expect("cycles form");
+            let mut xis: Vec<Xi> = [(5, 4), (3, 2), (7, 4), (9, 4), (7, 2)]
+                .into_iter()
+                .map(|(p, q)| Xi::from_fraction(p, q))
+                .collect();
+            xis.push(Xi::new(margin.clone()).unwrap());
+            xis.push(Xi::new(&margin + &Ratio::new(1, 7)).unwrap());
+            for xi in xis {
+                let (p, q) = xi_parts(&xi, tg.num_arcs(), g.num_events()).unwrap();
+                let decided = negative_cycle_exists(&g, &tg, p, q);
+                assert_eq!(
+                    decided,
+                    *xi.as_ratio() <= margin,
+                    "seed = {seed}, xi = {xi}"
+                );
+                assert_eq!(
+                    decided,
+                    violating_cycle_arcs(tg.arcs(), g.num_events(), p, q).is_some(),
+                    "seed = {seed}, xi = {xi}"
+                );
+                assert_eq!(
+                    decided,
+                    exists_nonneg_cycle_linegraph(&tg, p, q),
+                    "line graph, seed = {seed}, xi = {xi}"
+                );
+                outcomes[usize::from(decided)] += 1;
+            }
+        }
+        assert!(
+            outcomes[0] > 0 && outcomes[1] > 0,
+            "both verdicts must occur: {outcomes:?}"
+        );
     }
 }

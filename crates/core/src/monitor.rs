@@ -2212,9 +2212,11 @@ impl IncrementalChecker {
     /// after, and is `None` only when no relevant cycle can exist at all.
     ///
     /// This is the fast path for threshold alerting: only when the bound
-    /// crosses a warning threshold does an exact (and much costlier)
+    /// crosses a warning threshold does an exact
     /// [`current_margin`](IncrementalChecker::current_margin) probe need
-    /// to run.
+    /// to run. That probe bisects over `O(log m)` negative-cycle
+    /// decisions, each several full-arc rounds, and without pruning also
+    /// extracts a witness in `Θ(V·E)` — many times this single scan.
     ///
     /// # Panics
     ///

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use abc_clocksync::byzantine::TickRusher;
 use abc_clocksync::TickGen;
+use abc_core::check;
 use abc_core::cycle::WitnessSummary;
 use abc_core::monitor::{IncrementalChecker, MonitorStats};
 use abc_core::{ProcessId, Xi};
@@ -332,10 +333,12 @@ pub fn monitor_trace(
             .expect("a latched violation accompanies the index")
             .summarize(mon.graph()),
     });
-    let margin = mon
-        .current_margin()
-        .map_err(|e| e.to_string())?
-        .map(|m| m.ratio);
+    // The margin alone, without the witness `current_margin` would also
+    // extract: a latched run's margin is its witness's ratio.
+    let margin = match mon.violation_summary() {
+        Some(s) => s.classification.ratio(),
+        None => check::max_relevant_cycle_ratio(mon.graph()).map_err(|e| e.to_string())?,
+    };
     Ok((mon.stats(), violation, margin))
 }
 
